@@ -7,7 +7,7 @@ workload with JECB (or a baseline) and give me the result object":
     from repro.workloads.tpcc import TpccBenchmark
 
     bundle = TpccBenchmark().generate(2000, seed=7)
-    result = repro.partition(bundle, num_partitions=8, workers="auto")
+    result = repro.partition(bundle, num_partitions=8)
     print(result.partitioning.describe())
     print(result.metrics.summary())
 

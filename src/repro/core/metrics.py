@@ -8,9 +8,8 @@ tests, evaluator cache behaviour); the partitioner folds them into one
 :class:`SearchMetrics` together with per-phase wall times and Phase 3's
 combination counts.
 
-Everything here is a plain picklable dataclass so per-class metrics
-survive the trip back from :mod:`concurrent.futures` process workers, and
-``merge``/``to_dict`` keep aggregation and reporting trivial.
+Everything here is a plain dataclass; ``merge``/``to_dict`` keep
+aggregation and reporting trivial.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ class ClassMetrics:
     mi_tests: int = 0
     mi_refuted: int = 0
     path_evaluations: int = 0
-    #: wall time spent inside mapping-independence tests (both engines)
+    #: wall time spent inside mapping-independence tests
     mi_seconds: float = 0.0
     cache: CacheStats = field(default_factory=CacheStats)
 
@@ -96,10 +95,6 @@ class SearchMetrics:
     experiments CLI prints.
     """
 
-    workers: int = 1
-    parallel: bool = False
-    #: which path-evaluation engine ran ("columnar" or "object")
-    engine: str = "object"
     phase1_seconds: float = 0.0
     phase2_seconds: float = 0.0
     phase3_seconds: float = 0.0
@@ -146,9 +141,6 @@ class SearchMetrics:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "workers": self.workers,
-            "parallel": self.parallel,
-            "engine": self.engine,
             "phase1_seconds": self.phase1_seconds,
             "phase2_seconds": self.phase2_seconds,
             "phase3_seconds": self.phase3_seconds,
@@ -170,12 +162,11 @@ class SearchMetrics:
         }
 
     def summary(self) -> str:
-        mode = f"{self.workers} workers" if self.parallel else "serial"
         lines = [
             f"search: {self.total_seconds:.2f}s total "
             f"(phase1 {self.phase1_seconds:.2f}s, "
-            f"phase2 {self.phase2_seconds:.2f}s [{mode}], "
-            f"phase3 {self.phase3_seconds:.2f}s) [{self.engine} engine]",
+            f"phase2 {self.phase2_seconds:.2f}s, "
+            f"phase3 {self.phase3_seconds:.2f}s)",
             f"stages: trace-build {self.trace_build_seconds:.3f}s "
             f"(interning {self.intern_seconds:.3f}s), "
             f"MI testing {self.mi_seconds:.3f}s, "

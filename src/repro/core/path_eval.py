@@ -11,27 +11,24 @@ counters: mapping-independence testing and cost evaluation revisit the
 same tuples constantly, and the counters feed
 :class:`~repro.core.metrics.SearchMetrics`. Snapshot lookups go through a
 :class:`SnapshotIndex`, a per-table materialized live+tombstone index that
-can be shared across evaluators (Phase 2 creates one per search worker).
+can be shared across evaluators.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any
+
+import numpy as np
 
 from repro.core.join_path import JoinPath
 from repro.core.metrics import CacheStats
 from repro.storage.database import Database
 from repro.storage.table import Table
 from repro.trace.columnar import (
-    HAVE_NUMPY,
     ColumnarClassTrace,
     ColumnarSnapshot,
     ColumnarTrace,
 )
-
-if HAVE_NUMPY:
-    import numpy as np
 
 #: sentinel distinguishing "not memoized yet" from a memoized ``None``
 _MISS = object()
@@ -43,8 +40,8 @@ class SnapshotIndex:
     The trace is collected before partitioning starts, so the database is
     static during the search: materializing each table's merged
     live+tombstone view once is safe and turns every snapshot probe into a
-    single dict access. One index is shared by all evaluators of a search
-    worker, so TPC-C's ten classes don't build ten copies.
+    single dict access. One index can be shared by several evaluators, so
+    they don't each build a copy.
     """
 
     def __init__(self, database: Database) -> None:
@@ -199,33 +196,6 @@ class JoinPathEvaluator:
 # ----------------------------------------------------------------------
 # columnar engine
 # ----------------------------------------------------------------------
-class _BatchWalker(JoinPathEvaluator):
-    """The object walk with source-row probes served by array index.
-
-    Inherits ``_walk`` verbatim — path semantics stay identical to the
-    object engine by construction — but while a batch is active, the
-    source table's current-row fetch comes from the active
-    :class:`ColumnarSnapshot`'s trace-aligned row list instead of a
-    per-probe dict hash. (After the first foreign-key hop ``_walk`` always
-    holds a row, so the source table is the only ``_fetch_current``
-    target.)
-    """
-
-    def __init__(self, database: Database, snapshots: SnapshotIndex) -> None:
-        super().__init__(database, snapshots=snapshots)
-        self._active_table: str | None = None
-        self._active_snapshot: ColumnarSnapshot | None = None
-        self._active_local_id = 0
-
-    def _fetch_current(
-        self, table_name: str, known: dict[str, Any]
-    ) -> dict[str, Any] | None:
-        if table_name == self._active_table:
-            assert self._active_snapshot is not None
-            return self._active_snapshot.row_at(self._active_local_id)
-        return super()._fetch_current(table_name, known)
-
-
 class _PathColumn:
     """Lazily filled per-path code column (one slot per local key id)."""
 
@@ -274,7 +244,7 @@ class ColumnarEngine:
       table (local key id order), the *value code* of the path's root
       value: ``0`` for "no value" (the walk failed), otherwise a dense id
       interning the value under its own ``__eq__``/``__hash__``. Two
-      tuples share a code exactly when the object engine's ``!=``
+      tuples share a code exactly when the object walk's ``!=``
       comparison would call them equal, so the vectorized checks below
       return the same verdicts as the object scan. Columns fill lazily —
       a mapping-independence test only walks the tuple ids its class
@@ -290,18 +260,16 @@ class ColumnarEngine:
       dicts for the scalar loops (blame, statistics fallback) that must
       keep their own iteration order.
 
-    One engine is shared by every class searched in a process (a fork
-    worker inherits the trace zero-copy and builds its own engine);
-    per-class counters live in :class:`ColumnarPathEvaluator` adapters.
+    One engine is shared by every class of a run; per-class counters live
+    in :class:`ColumnarPathEvaluator` adapters.
     """
 
     def __init__(self, database: Database, ctrace: ColumnarTrace) -> None:
-        if not HAVE_NUMPY:  # pragma: no cover - numpy is in the base image
-            raise RuntimeError("ColumnarEngine requires numpy")
         self.database = database
         self.ctrace = ctrace
         self.snapshots = SnapshotIndex(database)
-        self._walker = _BatchWalker(database, self.snapshots)
+        #: object walker for keys outside the trace
+        self._walker = JoinPathEvaluator(database, snapshots=self.snapshots)
         #: interned root values; index 0 is reserved for "no value".
         self.values: list[Any] = [None]
         self._value_codes: dict[Any, int] = {}
@@ -317,7 +285,6 @@ class ColumnarEngine:
         self._db_tables = list(database)
         self._db_version = sum(t.version for t in self._db_tables)
         self._eval_calls = 0
-        self.batch_walks = 0
 
     # ------------------------------------------------------------------
     # value interning
@@ -503,7 +470,6 @@ class ColumnarEngine:
                         memo[values] = value
             codes[local_id] = code_of(value)
             computed[local_id] = True
-        self.batch_walks += len(local_ids)
 
     def ensure_codes(
         self, path: JoinPath, local_ids=None, stats: "CacheStats | None" = None

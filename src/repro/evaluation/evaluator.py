@@ -17,15 +17,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.path_eval import ColumnarEngine, JoinPathEvaluator
 from repro.core.mapping import REPLICATED
 from repro.core.solution import DatabasePartitioning
 from repro.storage.database import Database
-from repro.trace.columnar import HAVE_NUMPY, ColumnarClassTrace, ColumnarTrace
+from repro.trace.columnar import ColumnarClassTrace
 from repro.trace.events import Trace, TransactionTrace
-
-if HAVE_NUMPY:
-    import numpy as np
 
 
 @dataclass
@@ -142,8 +141,6 @@ class PartitioningEvaluator:
         self, trace: Trace
     ) -> tuple[ColumnarEngine, list[ColumnarClassTrace]] | None:
         """The engine + class views when *trace* lives in its columns."""
-        if not HAVE_NUMPY:  # pragma: no cover - numpy is in the base image
-            return None
         engine = self._engine()
         if engine is None:
             return None

@@ -19,10 +19,7 @@ from dataclasses import dataclass
 class ResourceUsage:
     """Peak memory (bytes), CPU and wall time (seconds) of a metered region.
 
-    ``cpu_seconds`` is the *parent* process's CPU time: when the JECB
-    partitioner fans Phase 2 out over worker processes, their CPU burn is
-    not charged here — compare ``wall_seconds`` against the per-phase wall
-    times in :class:`~repro.core.metrics.SearchMetrics` instead.
+    ``cpu_seconds`` is this process's CPU time (``time.process_time``).
     """
 
     peak_memory_bytes: int = 0

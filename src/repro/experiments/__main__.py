@@ -2,14 +2,13 @@
 
 Options make runs reproducible from the command line::
 
-    python -m repro.experiments fig5 --scale 0.5 --workers 4
+    python -m repro.experiments fig5 --scale 0.5
     python -m repro.experiments fig7 --config jecb.json --no-metrics
     python -m repro.experiments tpce --config '{"phase2": {"max_trees_per_root": 16}}'
 
 ``--config`` accepts a path to a JSON file or an inline JSON object; it is
 a partial :meth:`JECBConfig.from_dict` dict applied under each
-experiment's own partition count. ``--workers`` (an integer or ``auto``)
-controls Phase-2 parallelism. Every JECB run prints its SearchMetrics
+experiment's own partition count. Every JECB run prints its SearchMetrics
 block unless ``--no-metrics`` is given, and (where an experiment supports
 it) replays the testing call log through the runtime router, printing the
 route summary and RoutingMetrics block, unless ``--no-routing`` is given.
@@ -41,17 +40,6 @@ def _render(headers: list[str], rows: list[list]) -> str:
     for row in rows:
         lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def _parse_workers(value: str) -> int | str:
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--workers expects an integer or 'auto', got {value!r}"
-        ) from None
 
 
 def _load_config(value: str) -> dict:
@@ -92,12 +80,6 @@ def main(argv: list[str] | None = None) -> int:
         help="transaction-count multiplier (default 0.5 for a quick run)",
     )
     parser.add_argument("--seed", type=int, default=None, help="override seed")
-    parser.add_argument(
-        "--workers",
-        type=_parse_workers,
-        default=1,
-        help="Phase-2 parallelism: worker count or 'auto' (default 1)",
-    )
     parser.add_argument(
         "--config",
         type=_load_config,
@@ -152,7 +134,6 @@ def main(argv: list[str] | None = None) -> int:
         started = time.time()
         kwargs = {
             "scale": args.scale,
-            "workers": args.workers,
             "jecb_config": args.config,
             "show_metrics": not args.no_metrics,
             "show_routing": not args.no_routing,
@@ -214,11 +195,10 @@ def _profiled(runner, kwargs: dict):
         metrics_module.SearchMetrics.summary = original_summary
 
     for run_index, data in enumerate(captured):
-        engine = data.get("engine", "object")
         stages = ", ".join(
             f"{key[:-8]} {data.get(key, 0.0):.3f}s" for key in _STAGE_KEYS
         )
-        print(f"[profile] run {run_index} ({engine} engine): {stages}")
+        print(f"[profile] run {run_index}: {stages}")
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.strip_dirs().sort_stats("cumulative").print_stats(15)

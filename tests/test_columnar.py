@@ -4,13 +4,15 @@ Everything here pins one contract: interning a trace into flat integer
 columns and routing the hot paths (mapping independence, scalar path
 evaluation, Definition 5/6 cost) through :class:`ColumnarEngine` must be
 invisible — same transactions back out, same values, same verdicts, same
-cost — with the object engine as the oracle on real benchmarks (TPC-C,
-TATP) and a generated workload.
+cost — with the object walk over plain :class:`Trace` streams as the
+oracle on real benchmarks (TPC-C, TATP) and a generated workload, and
+with a recorded golden of the partitioner's output on the same fixtures.
 """
 
 from __future__ import annotations
 
-import pickle
+import json
+from pathlib import Path
 
 import pytest
 
@@ -21,22 +23,21 @@ from repro.core.path_eval import (
     SnapshotIndex,
     value_luts_for,
 )
-from repro.trace.columnar import (
-    ColumnarSnapshot,
-    ColumnarTrace,
-    SharedColumnarTrace,
-    columnar_available,
-)
+from repro.core.phase2 import partition_class
+from repro.trace.columnar import ColumnarSnapshot, ColumnarTrace
 from repro.trace.events import Trace, TransactionTrace
 from repro.trace.persistence import load_trace_file, save_trace_file
-from repro.trace.splitter import train_test_split
+from repro.trace.splitter import split_by_class, train_test_split
+from repro.trace.stats import classify_tables
 from repro.workloads.synthetic import SyntheticBenchmark, SyntheticConfig
 from repro.workloads.tatp import TatpBenchmark, TatpConfig
 from repro.workloads.tpcc import TpccBenchmark, TpccConfig
 
-pytestmark = pytest.mark.skipif(
-    not columnar_available(), reason="columnar engine requires numpy"
-)
+#: JECB output on the three fixtures below (k=4), recorded before the
+#: process pool and the object engine were removed from the partitioner
+GOLDEN = Path(__file__).parent / "golden" / "jecb_columnar_fixtures.json"
+
+BUNDLES = ["tpcc_bundle", "tatp_bundle", "synthetic_bundle"]
 
 try:
     from hypothesis import given, settings
@@ -69,13 +70,11 @@ def synthetic_bundle():
     ).generate(350, seed=5)
 
 
-def _run(bundle, engine, workers=1, num_partitions=4):
+def _run(bundle, num_partitions=4):
     partitioner = JECBPartitioner(
         bundle.database,
         bundle.catalog,
-        JECBConfig(
-            num_partitions=num_partitions, workers=workers, engine=engine
-        ),
+        JECBConfig(num_partitions=num_partitions),
     )
     return partitioner.run(bundle.trace)
 
@@ -107,7 +106,7 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=60, deadline=None)
     @given(_txn_lists)
     def test_roundtrip_random_traces(txn_specs):
-        """Interning then materializing restores every access verbatim."""
+        """Every class view yields its transactions' accesses verbatim."""
         trace = Trace()
         for i, (class_name, accesses) in enumerate(txn_specs):
             txn = TransactionTrace(i, class_name)
@@ -118,16 +117,10 @@ if HAVE_HYPOTHESIS:
         by_id = {txn.txn_id: txn for txn in trace}
         seen = 0
         for view in ctrace.views.values():
-            # pickling drops the original objects; materialization must
-            # rebuild them from the columns alone
-            revived = pickle.loads(pickle.dumps(view))
-            for direct, rebuilt in zip(view, revived):
+            for direct in view:
                 original = by_id[direct.txn_id]
+                assert direct.class_name == view.class_name
                 assert _txn_signature(direct) == _txn_signature(original)
-                assert _txn_signature(rebuilt) == _txn_signature(original)
-                assert rebuilt.tuples == original.tuples
-                assert rebuilt.read_set == original.read_set
-                assert rebuilt.write_set == original.write_set
                 seen += 1
         assert seen == len(trace)
 
@@ -137,7 +130,8 @@ def test_roundtrip_real_workload(tatp_bundle):
     by_id = {txn.txn_id: txn for txn in tatp_bundle.trace}
     seen = 0
     for view in ctrace.views.values():
-        for txn in pickle.loads(pickle.dumps(view)):
+        assert [t.txn_id for t in view] == view.txn_ids.tolist()
+        for txn in view:
             assert _txn_signature(txn) == _txn_signature(by_id[txn.txn_id])
             seen += 1
     assert seen == len(tatp_bundle.trace)
@@ -155,34 +149,75 @@ def test_split_matches_object_splitter(tpcc_bundle):
 
 
 # ----------------------------------------------------------------------
-# differential: full runs, object engine as oracle
+# differential: per-class search, object stream as oracle
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "bundle_name", ["tpcc_bundle", "tatp_bundle", "synthetic_bundle"]
-)
-def test_engines_produce_identical_results(bundle_name, request):
-    """Same partitioning, cost, MI verdict sequence and search counters."""
+def _solution_signature(solution):
+    mapping = solution.mapping
+    return (
+        solution.kind,
+        solution.tree,
+        solution.mapping_independent,
+        repr(mapping),
+        getattr(mapping, "table", None),
+    )
+
+
+@pytest.mark.parametrize("bundle_name", BUNDLES)
+def test_class_search_matches_object_stream(bundle_name, request):
+    """Phase 2 on a columnar view == Phase 2 on the plain class stream:
+    same summary, solution trees, MI verdict counts, tree for tree."""
     bundle = request.getfixturevalue(bundle_name)
-    obj = _run(bundle, "object")
-    col = _run(bundle, "columnar")
-    assert col.partitioning.describe() == obj.partitioning.describe()
-    assert col.cost == obj.cost
-    assert col.solutions_table() == obj.solutions_table()
-    assert col.table_usage == obj.table_usage
-    # Equal counters pin the MI verdicts tree for tree: one early refute
-    # or spare acceptance would shift every number after it.
-    assert col.metrics.trees_examined == obj.metrics.trees_examined
-    assert col.metrics.mi_tests == obj.metrics.mi_tests
-    assert col.metrics.mi_refuted == obj.metrics.mi_refuted
-    assert col.metrics.engine == "columnar"
-    assert obj.metrics.engine == "object"
+    database, catalog, trace = bundle.database, bundle.catalog, bundle.trace
+    usage = classify_tables(trace, database.schema, 0.02)
+    replicated = {t for t, u in usage.items() if u.replicated}
+    ctrace = ColumnarTrace.from_trace(trace)
+    engine = ColumnarEngine(database, ctrace)
+    streams = split_by_class(trace)
+    names = [n for n in sorted(streams) if n in catalog]
+    assert names == [n for n in sorted(ctrace.views) if n in catalog]
+    searched = 0
+    for name in names:
+        args = (database.schema, catalog.get(name))
+        tail = (replicated, database, 4)
+        obj = partition_class(*args, streams[name], *tail)
+        col = partition_class(
+            *args, ctrace.class_view(name), *tail, engine=engine
+        )
+        assert col.summary() == obj.summary()
+        assert [_solution_signature(s) for s in col.total_solutions] == [
+            _solution_signature(s) for s in obj.total_solutions
+        ]
+        assert [_solution_signature(s) for s in col.partial_solutions] == [
+            _solution_signature(s) for s in obj.partial_solutions
+        ]
+        # Equal counters pin the MI verdicts tree for tree: one early
+        # refute or spare acceptance would shift every number after it.
+        assert col.trees_examined == obj.trees_examined
+        assert col.metrics.mi_tests == obj.metrics.mi_tests
+        assert col.metrics.mi_refuted == obj.metrics.mi_refuted
+        searched += not col.read_only
+    assert searched > 0
+
+
+@pytest.mark.parametrize("bundle_name", BUNDLES)
+def test_partitioner_matches_golden(bundle_name, request):
+    """The partitioner's output is bit-identical to the recorded golden."""
+    bundle = request.getfixturevalue(bundle_name)
+    expected = json.loads(GOLDEN.read_text())[bundle_name[: -len("_bundle")]]
+    result = _run(bundle)
+    assert result.partitioning.describe() == expected["describe"]
+    assert result.cost == expected["cost"]
+    assert result.solutions_table() == expected["solutions_table"]
+    assert result.metrics.trees_examined == expected["trees_examined"]
+    assert result.metrics.mi_tests == expected["mi_tests"]
+    assert result.metrics.mi_refuted == expected["mi_refuted"]
 
 
 def test_distributed_fraction_matches_object_path(tpcc_bundle):
     """Definition 5/6 kernel: same CostReport as the per-txn object scan."""
     from repro.evaluation.evaluator import PartitioningEvaluator
 
-    col = _run(tpcc_bundle, "columnar")
+    col = _run(tpcc_bundle)
     ctrace = ColumnarTrace.from_trace(tpcc_bundle.trace)
     engine = ColumnarEngine(tpcc_bundle.database, ctrace)
     vector = PartitioningEvaluator(tpcc_bundle.database, columnar=engine)
@@ -197,7 +232,7 @@ def test_distributed_fraction_matches_object_path(tpcc_bundle):
 
 def test_scalar_evaluation_matches_object_walk(synthetic_bundle):
     """Compiled batch walks return the object walk's value for every key."""
-    result = _run(synthetic_bundle, "columnar")
+    result = _run(synthetic_bundle)
     ctrace = ColumnarTrace.from_trace(synthetic_bundle.trace)
     engine = ColumnarEngine(synthetic_bundle.database, ctrace)
     oracle = JoinPathEvaluator(synthetic_bundle.database)
@@ -218,7 +253,7 @@ def test_scalar_evaluation_matches_object_walk(synthetic_bundle):
 
 
 def test_class_value_luts_match_scalar_evaluation(tatp_bundle):
-    result = _run(tatp_bundle, "columnar")
+    result = _run(tatp_bundle)
     ctrace = ColumnarTrace.from_trace(tatp_bundle.trace)
     engine = ColumnarEngine(tatp_bundle.database, ctrace)
     paths = {
@@ -245,7 +280,7 @@ def test_value_luts_for_requires_columnar_backing(tatp_bundle):
 
 
 # ----------------------------------------------------------------------
-# snapshots, shared memory, persistence
+# snapshots, persistence
 # ----------------------------------------------------------------------
 def test_columnar_snapshot_matches_dict_probes(tpcc_bundle):
     ctrace = ColumnarTrace.from_trace(tpcc_bundle.trace)
@@ -255,29 +290,6 @@ def test_columnar_snapshot_matches_dict_probes(tpcc_bundle):
         snapshot = ColumnarSnapshot(index.table(table), keys)
         for local_id, key in enumerate(keys):
             assert snapshot.row_at(local_id) == index.snapshot(table, key)
-
-
-def test_shared_trace_roundtrip(tatp_bundle):
-    import numpy as np
-
-    ctrace = ColumnarTrace.from_trace(tatp_bundle.trace)
-    shared = SharedColumnarTrace.pack(ctrace)
-    try:
-        loaded = shared.load()
-        assert loaded.tables == ctrace.tables
-        assert np.array_equal(loaded.tuple_table, ctrace.tuple_table)
-        assert np.array_equal(loaded.tuple_local, ctrace.tuple_local)
-        assert sorted(loaded.views) == sorted(ctrace.views)
-        for name, view in ctrace.views.items():
-            other = loaded.views[name]
-            assert np.array_equal(other.offsets, view.offsets)
-            assert np.array_equal(other.tuple_ids, view.tuple_ids)
-            assert np.array_equal(other.write_bits, view.write_bits)
-            assert np.array_equal(other.uoffsets, view.uoffsets)
-            assert np.array_equal(other.utuple_ids, view.utuple_ids)
-    finally:
-        shared.close()
-        shared.unlink()
 
 
 def test_persistence_interns_table_names(tmp_path):
@@ -298,13 +310,3 @@ def test_persistence_interns_table_names(tmp_path):
         _txn_signature(txn) for txn in loaded
     ] == [_txn_signature(txn) for txn in trace]
 
-
-# ----------------------------------------------------------------------
-# smoke: the CI fast job's columnar sanity check
-# ----------------------------------------------------------------------
-@pytest.mark.smoke
-def test_columnar_smoke(tatp_bundle):
-    obj = _run(tatp_bundle, "object")
-    col = _run(tatp_bundle, "columnar")
-    assert col.partitioning.describe() == obj.partitioning.describe()
-    assert col.cost == obj.cost

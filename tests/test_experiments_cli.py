@@ -46,6 +46,11 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["nope"])
 
+    def test_main_rejects_workers_flag(self):
+        # Phase 2 is serial; there is no parallelism flag to accept.
+        with pytest.raises(SystemExit):
+            main(["sec76", "--workers", "2"])
+
     def test_seed_override(self, capsys):
         assert main(["sec76", "--scale", "0.1", "--seed", "123"]) == 0
 

@@ -76,13 +76,13 @@ class TestSearchMetricsAggregation:
             metrics.class_metrics("missing")
 
     def test_summary_and_to_dict(self):
-        metrics = SearchMetrics(workers=4, parallel=True)
+        metrics = SearchMetrics(phase2_seconds=1.5)
         metrics.add_class(ClassMetrics("A", wall_seconds=0.5))
         text = metrics.summary()
-        assert "4 workers" in text
+        assert "phase2 1.50s" in text
         assert "A" in text
         data = metrics.to_dict()
-        assert data["workers"] == 4
+        assert data["phase2_seconds"] == 1.5
         assert data["per_class"][0]["class_name"] == "A"
 
 
@@ -291,7 +291,7 @@ class TestConfigRoundTrip:
     def test_jecb_round_trip(self):
         config = JECBConfig(
             num_partitions=6,
-            workers=3,
+            meter_resources=True,
             phase2=Phase2Config(max_trees_per_root=9),
             phase3=Phase3Config(max_combinations_per_attr=123),
         )
@@ -301,14 +301,14 @@ class TestConfigRoundTrip:
     def test_partial_dict(self):
         config = JECBConfig.from_dict({"num_partitions": 5})
         assert config.num_partitions == 5
-        assert config.workers == 1
+        assert config.read_mostly_threshold == JECBConfig().read_mostly_threshold
 
     def test_nested_phase2_dict(self):
         config = JECBConfig.from_dict(
-            {"phase2": {"max_trees_per_root": 4}, "workers": "auto"}
+            {"phase2": {"max_trees_per_root": 4}, "num_partitions": 3}
         )
         assert config.phase2.max_trees_per_root == 4
-        assert config.workers == "auto"
+        assert config.num_partitions == 3
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="nope"):
@@ -317,6 +317,15 @@ class TestConfigRoundTrip:
             Phase2Config.from_dict({"typo": 1})
         with pytest.raises(ValueError, match="typo"):
             Phase3Config.from_dict({"typo": 1})
+
+    def test_removed_knobs_rejected(self):
+        # Phase 2 runs one way: serial, on the columnar engine.
+        with pytest.raises(ValueError, match="workers"):
+            JECBConfig.from_dict({"workers": 2})
+        with pytest.raises(ValueError, match="engine"):
+            JECBConfig.from_dict({"engine": "object"})
+        with pytest.raises(ValueError, match="evaluator_cache_size"):
+            Phase2Config.from_dict({"evaluator_cache_size": 8})
 
     def test_none_and_instance_pass_through(self):
         assert JECBConfig.from_dict(None) == JECBConfig()

@@ -7,8 +7,11 @@ inside the primary key). Any of those optimizations could silently change
 Definition 7's meaning. This module re-implements the definition as
 directly as possible — no cache, no short-circuit, eager row
 materialization, fresh snapshots on every probe — and Hypothesis
-cross-checks the two implementations on randomized schemas-with-tombstones
-and traces, including evaluators with pathologically small caches.
+cross-checks it on randomized schemas-with-tombstones and traces against
+both production checkers: the object walk (including evaluators with
+pathologically small caches) and the columnar Definition-7 kernel,
+:meth:`ColumnarEngine.tree_is_mapping_independent`, run on the interned
+class view. The kernel is what the partitioner runs.
 """
 
 from hypothesis import given, settings
@@ -16,10 +19,10 @@ from hypothesis import strategies as st
 
 from repro.core.join_path import JoinPath
 from repro.core.join_tree import JoinTree
-from repro.core.path_eval import JoinPathEvaluator
+from repro.core.path_eval import ColumnarEngine, JoinPathEvaluator
 from repro.schema.attribute import Attr
 from repro.storage import Database
-from repro.trace import Trace
+from repro.trace import ColumnarTrace, Trace
 from repro.trace.events import TransactionTrace, TupleAccess
 
 from tests.conftest import build_custinfo_schema, load_figure1_data
@@ -88,6 +91,16 @@ def brute_force_mapping_independent(
     return True
 
 
+def columnar_mapping_independent(database, tree: JoinTree, trace: Trace) -> bool:
+    """The production kernel's verdict on the trace's interned view."""
+    ctrace = ColumnarTrace.from_trace(trace)
+    engine = ColumnarEngine(database, ctrace)
+    return all(
+        engine.tree_is_mapping_independent(tree, view)[0]
+        for view in ctrace.views.values()
+    )
+
+
 # ----------------------------------------------------------------------
 # fixtures: the custinfo tree family
 # ----------------------------------------------------------------------
@@ -127,6 +140,7 @@ class TestKnownAnswers:
         evaluator = JoinPathEvaluator(database)
         assert tree.is_mapping_independent(trace, evaluator)
         assert brute_force_mapping_independent(database, tree, trace)
+        assert columnar_mapping_independent(database, tree, trace)
 
     def test_cross_customer_transaction_refutes(self):
         schema = build_custinfo_schema()
@@ -142,6 +156,7 @@ class TestKnownAnswers:
         evaluator = JoinPathEvaluator(database)
         assert not tree.is_mapping_independent(trace, evaluator)
         assert not brute_force_mapping_independent(database, tree, trace)
+        assert not columnar_mapping_independent(database, tree, trace)
 
     def test_dangling_foreign_key_refutes_both_ways(self):
         schema = build_custinfo_schema()
@@ -155,6 +170,7 @@ class TestKnownAnswers:
         evaluator = JoinPathEvaluator(database)
         assert not tree.is_mapping_independent(trace, evaluator)
         assert not brute_force_mapping_independent(database, tree, trace)
+        assert not columnar_mapping_independent(database, tree, trace)
 
     def test_deleted_account_still_maps_through_tombstone(self):
         schema = build_custinfo_schema()
@@ -171,6 +187,7 @@ class TestKnownAnswers:
         evaluator = JoinPathEvaluator(database)
         assert tree.is_mapping_independent(trace, evaluator)
         assert brute_force_mapping_independent(database, tree, trace)
+        assert columnar_mapping_independent(database, tree, trace)
 
 
 # ----------------------------------------------------------------------
@@ -255,3 +272,4 @@ def test_optimized_checker_matches_brute_force(
     assert tree.is_mapping_independent(trace, evaluator) == expected
     # run it twice: the memo cache must not change the verdict
     assert tree.is_mapping_independent(trace, evaluator) == expected
+    assert columnar_mapping_independent(database, tree, trace) == expected

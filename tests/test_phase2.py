@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import JECBConfig, JECBPartitioner
 from repro.core.join_tree import JoinTree
 from repro.core.path_eval import JoinPathEvaluator
 from repro.core.phase2 import (
@@ -14,6 +15,7 @@ from repro.core.phase2 import (
 from repro.schema import Attr
 from repro.trace import Trace, split_by_class
 from repro.trace.events import TransactionTrace
+from repro.workloads.tpcc import TpccBenchmark, TpccConfig
 
 
 @pytest.fixture
@@ -179,3 +181,24 @@ class TestEliminateUntilMi:
         txn.record("TRADE", (2,), False)
         evaluator = JoinPathEvaluator(database)
         assert eliminate_until_mi(tree, Trace([txn]), evaluator) is None
+
+
+def test_mining_off_yields_no_partial_solutions():
+    """``mine_partial_solutions=False`` switches off every partial source,
+    Case 2 (rootless join graphs) included."""
+    bundle = TpccBenchmark(
+        TpccConfig(warehouses=2, customers_per_district=8)
+    ).generate(300, seed=11)
+    config = JECBConfig(
+        num_partitions=4, phase2=Phase2Config(mine_partial_solutions=False)
+    )
+    result = JECBPartitioner(bundle.database, bundle.catalog, config).run(
+        bundle.trace
+    )
+    rootless = {
+        r.class_name
+        for r in result.class_results
+        if r.graph.partitioned_tables and not r.graph.find_roots()
+    }
+    assert {"NewOrder", "Payment"} <= rootless  # Case 2 is exercised
+    assert all(not r.partial_solutions for r in result.class_results)
